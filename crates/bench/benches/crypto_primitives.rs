@@ -25,11 +25,19 @@ fn bench(c: &mut Criterion) {
         });
     }
 
+    // 512 B, plus 1,200 B: the payload `legacy_bulk` seals per packet.
     let gcm = apna_crypto::AesGcm128::new(&[7u8; 16]);
-    let pt = vec![0xCD; 512];
+    for size in [512usize, 1200] {
+        let pt = vec![0xCD; size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(format!("gcm_seal_{size}B"), |b| {
+            b.iter(|| black_box(gcm.seal(&[1; 12], b"", black_box(&pt))))
+        });
+    }
+    let sealed = gcm.seal(&[1; 12], b"", &[0xCD; 512]);
     g.throughput(Throughput::Bytes(512));
-    g.bench_function("gcm_seal_512B", |b| {
-        b.iter(|| black_box(gcm.seal(&[1; 12], b"", black_box(&pt))))
+    g.bench_function("gcm_open_512B", |b| {
+        b.iter(|| black_box(gcm.open(&[1; 12], b"", black_box(&sealed))))
     });
 
     let kb = vec![0u8; 1024];

@@ -22,7 +22,7 @@ use crate::keys::EphIdKeyPair;
 use crate::replay::ReplayWindow;
 use crate::time::Timestamp;
 use crate::Error;
-use apna_crypto::gcm::AesGcm128;
+use apna_crypto::gcm::{AesGcm128, TAG_LEN};
 use apna_crypto::hkdf;
 use apna_crypto::x25519::PublicKey;
 use apna_wire::EphIdBytes;
@@ -126,9 +126,9 @@ impl SecureChannel {
         let seq = self.send_seq;
         self.send_seq += 1;
         let nonce = Self::nonce(self.role.dir_byte(), seq);
-        let mut out = Vec::with_capacity(8 + plaintext.len() + 16);
+        let mut out = Vec::with_capacity(8 + plaintext.len() + TAG_LEN);
         out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(&self.aead.seal(&nonce, aad, plaintext));
+        self.aead.seal_into(&nonce, aad, plaintext, &mut out);
         out
     }
 

@@ -31,9 +31,11 @@
 //!
 //! This is a research reproduction: the implementations favor clarity and
 //! auditability. AES is constant-time on both backends (bitsliced circuit
-//! or AES-NI — no secret-dependent table index or branch); scalar
-//! multiplication uses masked constant-time selects but no further
-//! side-channel hardening. Do not reuse outside simulation.
+//! or AES-NI — no secret-dependent table index or branch), and so is GCM's
+//! GHASH: a table-free carry-less multiply from masked integer multiplies,
+//! in safe portable code. Scalar multiplication uses masked constant-time
+//! selects but no further side-channel hardening. Do not reuse outside
+//! simulation.
 //!
 //! `unsafe` is denied crate-wide and allowed in exactly one module: the
 //! AES-NI intrinsics behind runtime feature detection.

@@ -58,6 +58,22 @@ fn ct1_silent_on_constant_time_twin() {
 }
 
 #[test]
+fn ct1_fires_on_shoup_table_ghash() {
+    // Line 22: the multiples table indexed by a nibble of the hash
+    // subkey (through a `let`).
+    let got = lint("crates/crypto/src/ct1_ghash_bad.rs", "ct1_ghash_bad.rs");
+    assert_eq!(got, vec![("CT-1", 22)]);
+}
+
+#[test]
+fn ct1_silent_on_holes_multiply_ghash() {
+    assert_eq!(
+        lint("crates/crypto/src/ct1_ghash_good.rs", "ct1_ghash_good.rs"),
+        vec![]
+    );
+}
+
+#[test]
 fn det1_fires_on_wall_clock_and_hash_iteration() {
     // Line 7: `Instant::now`. Line 9: `for` over a HashMap. Line 16:
     // order-revealing `.keys()` call.
