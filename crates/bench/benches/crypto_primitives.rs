@@ -56,6 +56,15 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    g.bench_function("x25519_public_key", |b| {
+        b.iter(|| {
+            black_box(apna_crypto::StaticSecret::from_bytes(black_box([9u8; 32])).public_key())
+        })
+    });
+
+    g.bench_function("ed25519_keygen", |b| {
+        b.iter(|| black_box(apna_crypto::SigningKey::from_seed(black_box(&[1u8; 32]))))
+    });
     let sk = apna_crypto::SigningKey::from_seed(&[1u8; 32]);
     let vk = sk.verifying_key();
     let msg = [0u8; 200];

@@ -9,7 +9,24 @@
 //! module (`field25519`).
 //!
 //! Verification is cofactorless (`[s]B = R + [k]A`), matching REF10.
+//!
+//! Every point multiplication is constant time, with no secret-dependent
+//! branch or table index:
+//!
+//! * fixed-base `[a]B` (keygen, the signing nonce, the `[s]B` half of
+//!   verify, and the X25519 public key) is ref10's signed radix-16 comb
+//!   (`ge_scalarmult_base`): 64 mixed additions of affine-Niels points
+//!   from a 32×8 table of `[1..8]·256ʲ·B`, plus 4 doublings. The table
+//!   (30 KiB) is computed once on first use with one batched inversion;
+//! * variable-base `[k](−A)` in verify is a fixed signed 4-bit window
+//!   over an 8-entry table of `[1..8](−A)`: 64 additions and 252
+//!   doublings. Verify then compares `[s]B + [k](−A)` with R
+//!   projectively, which accepts exactly when the encodings would match.
+//!
+//! Each addition picks its table entry by reading all 8 entries under a
+//! mask and applies the digit's sign by a masked select.
 
+use crate::ct::ct_is_zero_u64;
 use crate::field25519::FieldElement;
 use crate::scalar25519 as sc;
 use crate::sha2::Sha512;
@@ -56,6 +73,81 @@ fn constants() -> &'static Constants {
     })
 }
 
+/// The comb table: row j holds `[1..8]·256ʲ·B` in affine-Niels form.
+type BaseTable = [[AffineNielsPoint; 8]; 32];
+
+fn base_table() -> &'static BaseTable {
+    static TABLE: OnceLock<BaseTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let c = constants();
+        let mut rows = [[EdwardsPoint::identity(); 8]; 32];
+        let mut row_base = c.basepoint;
+        for row in rows.iter_mut() {
+            let mut p = row_base;
+            for entry in row.iter_mut() {
+                *entry = p;
+                p = p.add(&row_base);
+            }
+            row_base = row_base.double_n(8);
+        }
+        let mut z_inv: Vec<FieldElement> = rows.iter().flatten().map(|p| p.z).collect();
+        batch_invert(&mut z_inv);
+        let mut table = [[AffineNielsPoint::IDENTITY; 8]; 32];
+        for ((out, p), zi) in table
+            .iter_mut()
+            .flatten()
+            .zip(rows.iter().flatten())
+            .zip(z_inv)
+        {
+            let x = p.x.mul(&zi);
+            let y = p.y.mul(&zi);
+            *out = AffineNielsPoint {
+                y_plus_x: y.add(&x),
+                y_minus_x: y.sub(&x),
+                xy2d: x.mul(&y).mul(&c.d2),
+            };
+        }
+        table
+    })
+}
+
+/// Inverts every element in place with one field inversion (Montgomery's
+/// trick). No element may be zero; the Z of a point never is.
+fn batch_invert(elems: &mut [FieldElement]) {
+    let mut prefix = Vec::with_capacity(elems.len());
+    let mut acc = FieldElement::ONE;
+    for e in elems.iter() {
+        prefix.push(acc);
+        acc = acc.mul(e);
+    }
+    // inv = (e_0 ⋯ e_i)⁻¹ on entry to step i (walking down).
+    let mut inv = acc.invert();
+    for (e, before) in elems.iter_mut().zip(prefix).rev() {
+        let e_inv = inv.mul(&before);
+        inv = inv.mul(e);
+        *e = e_inv;
+    }
+}
+
+/// Signed radix-16 digits of a scalar below 2²⁵⁵: `a = Σ eᵢ·16ⁱ` with
+/// `eᵢ ∈ [−8, 8)` for i < 63 and `e₆₃ ∈ [−8, 8]` (ref10's recoding, by
+/// arithmetic only).
+fn radix16(scalar: &[u8; 32]) -> [i8; 64] {
+    let mut e = [0i8; 64];
+    for (pair, &byte) in e.chunks_exact_mut(2).zip(scalar) {
+        pair[0] = (byte & 15) as i8;
+        pair[1] = (byte >> 4) as i8;
+    }
+    let mut carry = 0i8;
+    for digit in e.iter_mut().take(63) {
+        *digit += carry;
+        carry = (*digit + 8) >> 4;
+        *digit -= carry << 4;
+    }
+    e[63] += carry;
+    e
+}
+
 // ---------------------------------------------------------------------------
 // Edwards points (extended coordinates, a = -1 curve)
 // ---------------------------------------------------------------------------
@@ -70,6 +162,99 @@ struct EdwardsPoint {
     t: FieldElement,
 }
 
+/// An affine point as `(y + x, y − x, 2dxy)`: the comb table's form, whose
+/// mixed addition costs 7 multiplies.
+#[derive(Clone, Copy)]
+struct AffineNielsPoint {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
+
+/// A point as `(Y + X, Y − X, Z, 2dT)`: the window table's form.
+#[derive(Clone, Copy)]
+struct ProjectiveNielsPoint {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    z: FieldElement,
+    t2d: FieldElement,
+}
+
+/// Table entries picked by [`lookup`].
+trait Lookup: Copy {
+    const IDENTITY: Self;
+    /// `a` if `choice == 1`, else `b`, by masks.
+    fn select(choice: u64, a: &Self, b: &Self) -> Self;
+    /// The negated point: Y + X and Y − X swap and the 2d term flips.
+    fn neg(&self) -> Self;
+}
+
+impl Lookup for AffineNielsPoint {
+    const IDENTITY: Self = AffineNielsPoint {
+        y_plus_x: FieldElement::ONE,
+        y_minus_x: FieldElement::ONE,
+        xy2d: FieldElement::ZERO,
+    };
+
+    fn select(choice: u64, a: &Self, b: &Self) -> Self {
+        AffineNielsPoint {
+            y_plus_x: FieldElement::select(choice, &a.y_plus_x, &b.y_plus_x),
+            y_minus_x: FieldElement::select(choice, &a.y_minus_x, &b.y_minus_x),
+            xy2d: FieldElement::select(choice, &a.xy2d, &b.xy2d),
+        }
+    }
+
+    fn neg(&self) -> Self {
+        AffineNielsPoint {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
+impl Lookup for ProjectiveNielsPoint {
+    const IDENTITY: Self = ProjectiveNielsPoint {
+        y_plus_x: FieldElement::ONE,
+        y_minus_x: FieldElement::ONE,
+        z: FieldElement::ONE,
+        t2d: FieldElement::ZERO,
+    };
+
+    fn select(choice: u64, a: &Self, b: &Self) -> Self {
+        ProjectiveNielsPoint {
+            y_plus_x: FieldElement::select(choice, &a.y_plus_x, &b.y_plus_x),
+            y_minus_x: FieldElement::select(choice, &a.y_minus_x, &b.y_minus_x),
+            z: FieldElement::select(choice, &a.z, &b.z),
+            t2d: FieldElement::select(choice, &a.t2d, &b.t2d),
+        }
+    }
+
+    fn neg(&self) -> Self {
+        ProjectiveNielsPoint {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+/// `[digit]P` from the row `[1P, …, 8P]`, for `digit ∈ [−8, 8]`: every
+/// entry is read and masked in, then the sign is applied by a masked
+/// select, so neither the memory accesses nor the control flow depend on
+/// the digit.
+fn lookup<P: Lookup>(row: &[P; 8], digit: i8) -> P {
+    let d = i64::from(digit);
+    let sign_mask = d >> 63;
+    let abs = ((d ^ sign_mask) - sign_mask) as u64;
+    let mut t = P::IDENTITY;
+    for (j, entry) in (1u64..).zip(row) {
+        t = P::select(ct_is_zero_u64(abs ^ j), entry, &t);
+    }
+    P::select((sign_mask & 1) as u64, &t.neg(), &t)
+}
+
 impl EdwardsPoint {
     fn identity() -> EdwardsPoint {
         EdwardsPoint {
@@ -80,28 +265,59 @@ impl EdwardsPoint {
         }
     }
 
-    /// Unified point addition (valid for doubling too on this curve shape,
-    /// but we use the dedicated doubling formula for speed).
-    fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
-        let c = constants();
-        let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
-        let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
-        let cc = self.t.mul(&c.d2).mul(&other.t);
-        let dd = self.z.mul(&other.z);
-        let dd = dd.add(&dd);
-        let e = b.sub(&a);
-        let f = dd.sub(&cc);
-        let g = dd.add(&cc);
-        let h = b.add(&a);
+    /// The extended point from the completed sum (E, F, G, H):
+    /// X = EF, Y = GH, Z = FG, T = EH.
+    fn from_completed(
+        e: &FieldElement,
+        f: &FieldElement,
+        g: &FieldElement,
+        h: &FieldElement,
+    ) -> EdwardsPoint {
         EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            z: f.mul(&g),
-            t: e.mul(&h),
+            x: e.mul(f),
+            y: g.mul(h),
+            z: f.mul(g),
+            t: e.mul(h),
         }
     }
 
-    fn double(&self) -> EdwardsPoint {
+    fn to_projective_niels(self) -> ProjectiveNielsPoint {
+        ProjectiveNielsPoint {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z: self.z,
+            t2d: self.t.mul(&constants().d2),
+        }
+    }
+
+    /// Unified addition (complete on this curve, so also valid for
+    /// doubling and the identity).
+    fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
+        self.add_projective_niels(&other.to_projective_niels())
+    }
+
+    /// `self + q` (ref10 `ge_add`).
+    fn add_projective_niels(&self, q: &ProjectiveNielsPoint) -> EdwardsPoint {
+        let pp = self.y.add(&self.x).mul(&q.y_plus_x);
+        let mm = self.y.sub(&self.x).mul(&q.y_minus_x);
+        let tt = self.t.mul(&q.t2d);
+        let zz = self.z.mul(&q.z);
+        let zz2 = zz.add(&zz);
+        Self::from_completed(&pp.sub(&mm), &zz2.sub(&tt), &zz2.add(&tt), &pp.add(&mm))
+    }
+
+    /// `self + q` for an affine q (ref10 `ge_madd`): q's Z = 1 saves the
+    /// Z multiply.
+    fn add_affine_niels(&self, q: &AffineNielsPoint) -> EdwardsPoint {
+        let pp = self.y.add(&self.x).mul(&q.y_plus_x);
+        let mm = self.y.sub(&self.x).mul(&q.y_minus_x);
+        let tt = self.t.mul(&q.xy2d);
+        let zz2 = self.z.add(&self.z);
+        Self::from_completed(&pp.sub(&mm), &zz2.sub(&tt), &zz2.add(&tt), &pp.add(&mm))
+    }
+
+    /// The completed doubling (E, F, G, H) of (X : Y : Z); T is not read.
+    fn double_completed(&self) -> (FieldElement, FieldElement, FieldElement, FieldElement) {
         let a = self.x.square();
         let b = self.y.square();
         let zz = self.z.square();
@@ -111,12 +327,21 @@ impl EdwardsPoint {
         let e = h.sub(&xy.square());
         let g = a.sub(&b);
         let f = c.add(&g);
-        EdwardsPoint {
-            x: e.mul(&f),
-            y: g.mul(&h),
-            z: f.mul(&g),
-            t: e.mul(&h),
+        (e, f, g, h)
+    }
+
+    /// `[2ⁿ]P` for n ≥ 1. Doubling never reads T, so only the last of the
+    /// n doublings computes it.
+    fn double_n(&self, n: u32) -> EdwardsPoint {
+        let mut p = *self;
+        for _ in 1..n {
+            let (e, f, g, h) = p.double_completed();
+            p.x = e.mul(&f);
+            p.y = g.mul(&h);
+            p.z = f.mul(&g);
         }
+        let (e, f, g, h) = p.double_completed();
+        Self::from_completed(&e, &f, &g, &h)
     }
 
     fn neg(&self) -> EdwardsPoint {
@@ -128,29 +353,46 @@ impl EdwardsPoint {
         }
     }
 
-    /// Constant-time select (`choice` must be 0 or 1).
-    fn select(choice: u64, a: &EdwardsPoint, b: &EdwardsPoint) -> EdwardsPoint {
-        EdwardsPoint {
-            x: FieldElement::select(choice, &a.x, &b.x),
-            y: FieldElement::select(choice, &a.y, &b.y),
-            z: FieldElement::select(choice, &a.z, &b.z),
-            t: FieldElement::select(choice, &a.t, &b.t),
-        }
-    }
-
-    /// Scalar multiplication by a 32-byte little-endian scalar, using a
-    /// double-and-always-add ladder with constant-time selects.
-    fn mul_scalar(&self, scalar: &[u8; 32]) -> EdwardsPoint {
+    /// `[a]B` for a scalar below 2²⁵⁵ by the signed radix-16 comb: with
+    /// `a = Σⱼ (e₂ⱼ + 16·e₂ⱼ₊₁)·256ʲ`, sum the odd digits' row entries,
+    /// multiply by 16, then add the even digits' entries.
+    fn mul_base(scalar: &[u8; 32]) -> EdwardsPoint {
+        let digits = radix16(scalar);
+        let table = base_table();
         let mut acc = EdwardsPoint::identity();
-        for byte in scalar.iter().rev() {
-            for bit in (0..8).rev() {
-                acc = acc.double();
-                let sum = acc.add(self);
-                let b = ((byte >> bit) & 1) as u64;
-                acc = EdwardsPoint::select(b, &sum, &acc);
-            }
+        for (row, pair) in table.iter().zip(digits.chunks_exact(2)) {
+            acc = acc.add_affine_niels(&lookup(row, pair[1]));
+        }
+        acc = acc.double_n(4);
+        for (row, pair) in table.iter().zip(digits.chunks_exact(2)) {
+            acc = acc.add_affine_niels(&lookup(row, pair[0]));
         }
         acc
+    }
+
+    /// `[a]P` for a scalar below 2²⁵⁵ by a fixed signed 4-bit window over
+    /// `[1..8]P`, most significant digit first.
+    fn mul(&self, scalar: &[u8; 32]) -> EdwardsPoint {
+        let mut row = [ProjectiveNielsPoint::IDENTITY; 8];
+        let mut multiple = *self;
+        for entry in row.iter_mut() {
+            *entry = multiple.to_projective_niels();
+            multiple = multiple.add(self);
+        }
+        let digits = radix16(scalar);
+        let mut acc = EdwardsPoint::identity().add_projective_niels(&lookup(&row, digits[63]));
+        for &digit in digits[..63].iter().rev() {
+            acc = acc.double_n(4).add_projective_niels(&lookup(&row, digit));
+        }
+        acc
+    }
+
+    /// Projective equality: X₁Z₂ = X₂Z₁ and Y₁Z₂ = Y₂Z₁, without the two
+    /// inversions of comparing encodings.
+    fn ct_eq(&self, other: &EdwardsPoint) -> bool {
+        let x_eq = self.x.mul(&other.z).ct_eq(&other.x.mul(&self.z));
+        let y_eq = self.y.mul(&other.z).ct_eq(&other.y.mul(&self.z));
+        x_eq & y_eq
     }
 
     fn compress(&self) -> [u8; 32] {
@@ -191,6 +433,15 @@ impl EdwardsPoint {
             t: x.mul(&y),
         })
     }
+}
+
+/// The X25519 public key of a clamped scalar, through the comb: the
+/// birational map sends the Edwards point (x, y) to the Montgomery
+/// u = (1 + y)/(1 − y) = (Z + Y)/(Z − Y), and B to u = 9. Bit-identical
+/// to the ladder `x25519(scalar, 9)`.
+pub(crate) fn x25519_base(clamped: &[u8; 32]) -> [u8; 32] {
+    let p = EdwardsPoint::mul_base(clamped);
+    p.z.add(&p.y).mul(&p.z.sub(&p.y).invert()).to_bytes()
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +496,7 @@ impl SigningKey {
         scalar[31] |= 64;
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&h[32..]);
-        let public_point = constants().basepoint.mul_scalar(&scalar);
+        let public_point = EdwardsPoint::mul_base(&scalar);
         SigningKey {
             seed: *seed,
             scalar,
@@ -280,7 +531,7 @@ impl SigningKey {
         h.update(&self.prefix);
         h.update(message);
         let r = sc::reduce_512(&h.finalize());
-        let big_r = constants().basepoint.mul_scalar(&r).compress();
+        let big_r = EdwardsPoint::mul_base(&r).compress();
 
         let mut h = Sha512::new();
         h.update(&big_r);
@@ -340,10 +591,9 @@ impl VerifyingKey {
         let k = sc::reduce_512(&h.finalize());
 
         // [s]B == R + [k]A  ⇔  [s]B + [k](−A) == R.
-        let sb = constants().basepoint.mul_scalar(&s_bytes);
-        let ka_neg = a.neg().mul_scalar(&k);
-        let check = sb.add(&ka_neg).compress();
-        if crate::ct::ct_eq(&check, &r.compress()) {
+        let sb = EdwardsPoint::mul_base(&s_bytes);
+        let ka_neg = a.neg().mul(&k);
+        if sb.add(&ka_neg).ct_eq(&r) {
             Ok(())
         } else {
             Err(CryptoError::VerificationFailed)
@@ -358,9 +608,163 @@ impl core::fmt::Debug for VerifyingKey {
 }
 
 #[cfg(test)]
+mod oracle {
+    //! The double-and-always-add ladder and the verify built on it that the
+    //! comb and the window replaced, with the group-law formulas they used,
+    //! kept as the differential-test reference.
+
+    use super::*;
+
+    impl EdwardsPoint {
+        fn add_oracle(&self, other: &EdwardsPoint) -> EdwardsPoint {
+            let c = constants();
+            let a = self.y.sub(&self.x).mul(&other.y.sub(&other.x));
+            let b = self.y.add(&self.x).mul(&other.y.add(&other.x));
+            let cc = self.t.mul(&c.d2).mul(&other.t);
+            let dd = self.z.mul(&other.z);
+            let dd = dd.add(&dd);
+            let e = b.sub(&a);
+            let f = dd.sub(&cc);
+            let g = dd.add(&cc);
+            let h = b.add(&a);
+            EdwardsPoint {
+                x: e.mul(&f),
+                y: g.mul(&h),
+                z: f.mul(&g),
+                t: e.mul(&h),
+            }
+        }
+
+        fn double_oracle(&self) -> EdwardsPoint {
+            let a = self.x.square();
+            let b = self.y.square();
+            let zz = self.z.square();
+            let c = zz.add(&zz);
+            let h = a.add(&b);
+            let xy = self.x.add(&self.y);
+            let e = h.sub(&xy.square());
+            let g = a.sub(&b);
+            let f = c.add(&g);
+            EdwardsPoint {
+                x: e.mul(&f),
+                y: g.mul(&h),
+                z: f.mul(&g),
+                t: e.mul(&h),
+            }
+        }
+
+        fn select(choice: u64, a: &EdwardsPoint, b: &EdwardsPoint) -> EdwardsPoint {
+            EdwardsPoint {
+                x: FieldElement::select(choice, &a.x, &b.x),
+                y: FieldElement::select(choice, &a.y, &b.y),
+                z: FieldElement::select(choice, &a.z, &b.z),
+                t: FieldElement::select(choice, &a.t, &b.t),
+            }
+        }
+
+        /// Scalar multiplication over all 256 bits, most significant first.
+        pub(super) fn mul_ladder(&self, scalar: &[u8; 32]) -> EdwardsPoint {
+            let mut acc = EdwardsPoint::identity();
+            for byte in scalar.iter().rev() {
+                for bit in (0..8).rev() {
+                    acc = acc.double_oracle();
+                    let sum = acc.add_oracle(self);
+                    let b = ((byte >> bit) & 1) as u64;
+                    acc = EdwardsPoint::select(b, &sum, &acc);
+                }
+            }
+            acc
+        }
+    }
+
+    /// RFC 8032 §5.1.7 with both multiplications on the ladder and the
+    /// check on encodings.
+    pub(super) fn verify(
+        vk: &VerifyingKey,
+        message: &[u8],
+        signature: &Signature,
+    ) -> Result<(), CryptoError> {
+        let a = EdwardsPoint::decompress(&vk.0).ok_or(CryptoError::InvalidEncoding)?;
+        let r_bytes: [u8; 32] = signature.0[..32].try_into().unwrap();
+        let s_bytes: [u8; 32] = signature.0[32..].try_into().unwrap();
+        if !sc::is_canonical(&s_bytes) {
+            return Err(CryptoError::InvalidEncoding);
+        }
+        let r = EdwardsPoint::decompress(&r_bytes).ok_or(CryptoError::InvalidEncoding)?;
+        let mut h = Sha512::new();
+        h.update(&r_bytes);
+        h.update(&vk.0);
+        h.update(message);
+        let k = sc::reduce_512(&h.finalize());
+        let sb = constants().basepoint.mul_ladder(&s_bytes);
+        let check = sb.add_oracle(&a.neg().mul_ladder(&k)).compress();
+        if check == r.compress() {
+            Ok(())
+        } else {
+            Err(CryptoError::VerificationFailed)
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex;
+    use rand::SeedableRng;
+
+    const L_BYTES: [u8; 32] = [
+        0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde,
+        0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x10,
+    ];
+
+    /// `n` scalars below 2²⁵⁵: edges (0, 1, L − 1, L, L + 1, 2²⁵⁵ − 1, and
+    /// all-8 nibbles, which carry through every digit), then seeded draws,
+    /// half of them clamped.
+    fn sample_scalars(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<[u8; 32]> {
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut l_minus_1 = L_BYTES;
+        l_minus_1[0] -= 1;
+        let mut l_plus_1 = L_BYTES;
+        l_plus_1[0] += 1;
+        let mut top = [0xffu8; 32];
+        top[31] = 0x7f;
+        let mut eights = [0x88u8; 32];
+        eights[31] = 0x78;
+        let mut out = vec![[0u8; 32], one, l_minus_1, L_BYTES, l_plus_1, top, eights];
+        while out.len() < n {
+            let mut s = [0u8; 32];
+            rng.fill_bytes(&mut s);
+            s[31] &= 0x7f;
+            if rng.next_u32() & 1 == 1 {
+                s = crate::x25519::clamp_scalar(s);
+            }
+            out.push(s);
+        }
+        out
+    }
+
+    /// The eight points of the torsion subgroup, `[0..8]·T` for a point T
+    /// of order 8 found as `[L]P` of a decompressed point P.
+    fn torsion_points() -> Vec<EdwardsPoint> {
+        let mut enc = [0u8; 32];
+        loop {
+            enc[0] = enc[0].wrapping_add(1);
+            let Some(p) = EdwardsPoint::decompress(&enc) else {
+                continue;
+            };
+            let t = p.mul_ladder(&L_BYTES);
+            if !t.double_n(2).ct_eq(&EdwardsPoint::identity()) {
+                let mut out = vec![EdwardsPoint::identity()];
+                for _ in 1..8 {
+                    let next = out[out.len() - 1].add(&t);
+                    out.push(next);
+                }
+                return out;
+            }
+        }
+    }
 
     // RFC 8032 §7.1 test vectors.
     #[test]
@@ -521,14 +925,182 @@ mod tests {
     #[test]
     fn basepoint_has_order_l() {
         // [L]B must be the identity: compress(identity).y == 1.
-        const L_BYTES: [u8; 32] = [
-            0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9,
-            0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-            0x00, 0x00, 0x00, 0x10,
-        ];
-        let lb = constants().basepoint.mul_scalar(&L_BYTES);
         let mut identity_enc = [0u8; 32];
         identity_enc[0] = 1;
-        assert_eq!(lb.compress(), identity_enc);
+        let b = constants().basepoint;
+        assert_eq!(EdwardsPoint::mul_base(&L_BYTES).compress(), identity_enc);
+        assert_eq!(b.mul(&L_BYTES).compress(), identity_enc);
+        assert_eq!(b.mul_ladder(&L_BYTES).compress(), identity_enc);
+    }
+
+    #[test]
+    fn base_table_rows_are_multiples_of_256_powers() {
+        let table = base_table();
+        let b = constants().basepoint;
+        for (j, row) in table.iter().enumerate() {
+            for (k, entry) in row.iter().enumerate() {
+                let mut scalar = [0u8; 32];
+                scalar[j] = k as u8 + 1;
+                let want = b.mul_ladder(&scalar);
+                let got = EdwardsPoint::identity().add_affine_niels(entry);
+                assert!(got.ct_eq(&want), "row {j} entry {k}");
+            }
+        }
+        assert_eq!(std::mem::size_of::<BaseTable>(), 30 * 1024);
+    }
+
+    #[test]
+    fn radix16_digits_recompose_the_scalar() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for scalar in sample_scalars(&mut rng, 1_000) {
+            let e = radix16(&scalar);
+            assert!(e[..63].iter().all(|&d| (-8..8).contains(&d)));
+            assert!((-8..=8).contains(&e[63]));
+            // Σ eᵢ·16ⁱ, evaluated with signed byte carries.
+            let mut acc = [0i32; 33];
+            for (i, &d) in e.iter().enumerate() {
+                acc[i / 2] += i32::from(d) << (4 * (i % 2));
+            }
+            let mut out = [0u8; 32];
+            let mut carry = 0i32;
+            for (o, a) in out.iter_mut().zip(acc) {
+                let v = a + carry;
+                *o = v.rem_euclid(256) as u8;
+                carry = v.div_euclid(256);
+            }
+            assert_eq!(carry, 0);
+            assert_eq!(out, scalar);
+        }
+    }
+
+    #[test]
+    fn comb_matches_ladder_on_10k_scalars() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0b);
+        let b = constants().basepoint;
+        for scalar in sample_scalars(&mut rng, 10_000) {
+            assert_eq!(
+                EdwardsPoint::mul_base(&scalar).compress(),
+                b.mul_ladder(&scalar).compress(),
+                "{}",
+                hex::encode(&scalar)
+            );
+        }
+    }
+
+    #[test]
+    fn window_matches_ladder_on_10k_scalars() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x3d);
+        let mut points = torsion_points();
+        while points.len() < 64 {
+            let mut enc = [0u8; 32];
+            rng.fill_bytes(&mut enc);
+            if let Some(p) = EdwardsPoint::decompress(&enc) {
+                points.push(p); // any order: mostly 8L
+            }
+        }
+        for (i, scalar) in sample_scalars(&mut rng, 10_000).iter().enumerate() {
+            let p = points[i % points.len()];
+            assert_eq!(
+                p.mul(scalar).compress(),
+                p.mul_ladder(scalar).compress(),
+                "{}",
+                hex::encode(scalar)
+            );
+        }
+    }
+
+    #[test]
+    fn x25519_base_matches_ladder_on_10k_scalars() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x25519);
+        for _ in 0..10_000 {
+            let mut raw = [0u8; 32];
+            rng.fill_bytes(&mut raw);
+            let clamped = crate::x25519::clamp_scalar(raw);
+            assert_eq!(
+                x25519_base(&clamped),
+                crate::x25519::x25519(clamped, crate::x25519::X25519_BASEPOINT)
+            );
+        }
+    }
+
+    #[test]
+    fn verify_agrees_with_ladder_oracle() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7e);
+        let mut cases: Vec<(VerifyingKey, Vec<u8>, Signature)> = Vec::new();
+        let torsion = torsion_points();
+        let torsion_encs: Vec<[u8; 32]> = torsion.iter().map(|p| p.compress()).collect();
+        for round in 0..40u8 {
+            let key = SigningKey::generate(&mut rng);
+            let vk = key.verifying_key();
+            let msg = vec![round; round as usize];
+            let sig = key.sign(&msg);
+            cases.push((vk, msg.clone(), sig)); // valid
+            cases.push((vk, [msg.as_slice(), b"x"].concat(), sig)); // tampered message
+            let mut bad = sig.to_bytes();
+            bad[usize::from(round) % SIGNATURE_LEN] ^= 1 << (round % 8);
+            cases.push((vk, msg.clone(), Signature(bad))); // tampered signature
+            let other = SigningKey::generate(&mut rng).verifying_key();
+            cases.push((other, msg.clone(), sig)); // wrong key
+            let mut high_s = sig.to_bytes();
+            high_s[63] |= 0xe0;
+            cases.push((vk, msg.clone(), Signature(high_s))); // non-canonical s
+            let small = torsion_encs[usize::from(round) % torsion_encs.len()];
+            let mut small_r = sig.to_bytes();
+            small_r[..32].copy_from_slice(&small);
+            cases.push((vk, msg.clone(), Signature(small_r))); // small-order R
+            cases.push((VerifyingKey(small), msg.clone(), sig)); // small-order A
+        }
+        // Signatures that do verify under a small-order A: pick s and a
+        // torsion point Q, set R = [s]B − Q, and keep the tries where
+        // [k]A happens to equal Q (about one in eight).
+        let mut accepted = 0;
+        for (i, a) in torsion.iter().enumerate().cycle().take(400) {
+            let mut wide = [0u8; 64];
+            rng.fill_bytes(&mut wide);
+            let s = sc::reduce_512(&wide);
+            let q = torsion[(i * 3 + 1) % 8];
+            let r = EdwardsPoint::mul_base(&s).add(&q.neg()).compress();
+            let mut sig = [0u8; 64];
+            sig[..32].copy_from_slice(&r);
+            sig[32..].copy_from_slice(&s);
+            let vk = VerifyingKey(a.compress());
+            let result = vk.verify(b"small", &Signature(sig));
+            accepted += usize::from(result.is_ok());
+            cases.push((vk, b"small".to_vec(), Signature(sig)));
+        }
+        assert!(accepted > 0, "no small-order-A signature verified");
+        // R sent as the non-canonical encoding y = p of the order-4 point
+        // (x, 0): with s = 0 and a torsion A, the tries where [k](−A) = R
+        // verify, since R is hashed as sent and compared as a point.
+        let mut p_enc = [0xffu8; 32];
+        p_enc[0] = 0xed;
+        p_enc[31] = 0x7f;
+        let mut non_canonical_r = 0;
+        for (n, a) in torsion.iter().cycle().take(64).enumerate() {
+            let mut sig = [0u8; 64];
+            sig[..32].copy_from_slice(&p_enc);
+            let vk = VerifyingKey(a.compress());
+            let msg = [n as u8; 3];
+            non_canonical_r += usize::from(vk.verify(&msg, &Signature(sig)).is_ok());
+            cases.push((vk, msg.to_vec(), Signature(sig)));
+        }
+        assert!(non_canonical_r > 0, "no non-canonical-R signature verified");
+        for case in &cases {
+            let (vk, msg, sig) = case;
+            assert_eq!(vk.verify(msg, sig), oracle::verify(vk, msg, sig));
+        }
+    }
+
+    #[test]
+    fn projective_equality_matches_encodings() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xe9);
+        let b = constants().basepoint;
+        for scalar in sample_scalars(&mut rng, 200) {
+            let p = EdwardsPoint::mul_base(&scalar);
+            let q = b.mul_ladder(&scalar);
+            assert!(p.ct_eq(&q));
+            assert!(!p.ct_eq(&q.add(&b)));
+            assert!(!p.ct_eq(&p.neg()) || p.x.is_zero());
+        }
     }
 }

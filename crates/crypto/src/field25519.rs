@@ -3,11 +3,19 @@
 //! Elements are held in five 51-bit limbs (radix 2⁵¹), the standard
 //! representation for 64-bit targets: products of two 51-bit limbs fit a
 //! u128 with room to accumulate, and reduction folds the overflow back with
-//! a multiply by 19. Exponentiation takes the exponent as little-endian
-//! bytes and runs a fixed square-and-multiply ladder, trading speed for
-//! obviousness — inversion and square roots are not hot paths here.
+//! a multiply by 19. Squaring has its own limb schedule (15 products
+//! instead of 25).
+//!
+//! Inversion and the square-root power sit on every Ed25519 keygen, sign
+//! and verify (point compression and decompression) and on every X25519
+//! output, so both run ref10's fixed addition chain (`pow22501`): 254
+//! squarings and 11 multiplies for a^(p−2), 251 and 11 for a^((p−5)/8),
+//! against ~505 operations for a generic square-and-multiply over the
+//! exponent's bits. The chain is fixed, so its timing is independent of
+//! the input. √−1 is computed once and cached.
 
 use crate::ct::ct_select_u64;
+use std::sync::OnceLock;
 
 /// Mask of the low 51 bits.
 const LOW_51: u64 = (1 << 51) - 1;
@@ -158,7 +166,34 @@ impl FieldElement {
     }
 
     pub(crate) fn square(&self) -> FieldElement {
-        self.mul(self)
+        let a = &self.0;
+        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a1_38 = a[1] * 38;
+        let a2_38 = a[2] * 38;
+        let a3_38 = a[3] * 38;
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+
+        // The products of `mul` with a = b: each cross term a_i·a_j (i ≠ j)
+        // appears twice, and wrapped terms carry the factor 19.
+        let c0 = m(a[0], a[0]) + m(a1_38, a[4]) + m(a2_38, a[3]);
+        let c1 = m(a0_2, a[1]) + m(a2_38, a[4]) + m(a3_19, a[3]);
+        let c2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_38, a[4]);
+        let c3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]);
+        let c4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+
+        Self::carry_wide([c0, c1, c2, c3, c4])
+    }
+
+    /// `n` successive squarings: self^(2ⁿ).
+    fn square_n(&self, n: u32) -> FieldElement {
+        let mut r = *self;
+        for _ in 0..n {
+            r = r.square();
+        }
+        r
     }
 
     /// Carries a wide-limb intermediate back to 51-bit limbs.
@@ -181,45 +216,46 @@ impl FieldElement {
         FieldElement(out)
     }
 
-    /// Raises to the power given as little-endian bytes (fixed ladder over
-    /// every bit; the exponents used in this crate are public constants).
-    pub(crate) fn pow(&self, exponent_le: &[u8]) -> FieldElement {
-        let mut result = FieldElement::ONE;
-        for byte in exponent_le.iter().rev() {
-            for bit in (0..8).rev() {
-                result = result.square();
-                if (byte >> bit) & 1 == 1 {
-                    result = result.mul(self);
-                }
-            }
-        }
-        result
+    /// ref10's `pow22501` chain: returns (a^(2²⁵⁰ − 1), a¹¹), the shared
+    /// prefix of the inversion and square-root exponents.
+    fn pow22501(&self) -> (FieldElement, FieldElement) {
+        let t0 = self.square(); // 2
+        let t1 = t0.square_n(2).mul(self); // 9
+        let t0 = t0.mul(&t1); // 11
+        let t1 = t1.mul(&t0.square()); // 31 = 2⁵ − 1
+        let t1 = t1.square_n(5).mul(&t1); // 2¹⁰ − 1
+        let t2 = t1.square_n(10).mul(&t1); // 2²⁰ − 1
+        let t2 = t2.square_n(20).mul(&t2); // 2⁴⁰ − 1
+        let t1 = t2.square_n(10).mul(&t1); // 2⁵⁰ − 1
+        let t2 = t1.square_n(50).mul(&t1); // 2¹⁰⁰ − 1
+        let t2 = t2.square_n(100).mul(&t2); // 2²⁰⁰ − 1
+        let t1 = t2.square_n(50).mul(&t1); // 2²⁵⁰ − 1
+        (t1, t0)
     }
 
     /// Multiplicative inverse via Fermat: a^(p−2). Returns zero for zero.
     pub(crate) fn invert(&self) -> FieldElement {
-        // p − 2 = 2²⁵⁵ − 21, little-endian.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow(&exp)
+        // p − 2 = 2²⁵⁵ − 21 = (2²⁵⁰ − 1)·2⁵ + 11.
+        let (t250, t11) = self.pow22501();
+        t250.square_n(5).mul(&t11)
     }
 
     /// a^((p−5)/8) = a^(2²⁵² − 3), used by square-root extraction.
     pub(crate) fn pow_p58(&self) -> FieldElement {
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow(&exp)
+        // 2²⁵² − 3 = (2²⁵⁰ − 1)·2² + 1.
+        let (t250, _) = self.pow22501();
+        t250.square_n(2).mul(self)
     }
 
-    /// √−1 = 2^((p−1)/4), computed rather than transcribed.
+    /// √−1 = 2^((p−1)/4), computed rather than transcribed, once.
     pub(crate) fn sqrt_m1() -> FieldElement {
-        // (p − 1) / 4 = 2²⁵³ − 5.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        FieldElement::from_u64(2).pow(&exp)
+        static SQRT_M1: OnceLock<FieldElement> = OnceLock::new();
+        // 2 is a non-residue (p ≡ 5 mod 8), so 2^((p−1)/4) squares to
+        // 2^((p−1)/2) = −1. (p − 1)/4 = 2²⁵³ − 5 = (2²⁵² − 3)·2 + 1.
+        *SQRT_M1.get_or_init(|| {
+            let two = FieldElement::from_u64(2);
+            two.pow_p58().square().mul(&two)
+        })
     }
 
     pub(crate) fn is_zero(&self) -> bool {
@@ -273,11 +309,132 @@ impl FieldElement {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle {
+    //! The generic square-and-multiply exponentiation the addition chains
+    //! replaced, kept as the differential-test reference.
+
+    use super::FieldElement;
+
+    /// Raises to the power given as little-endian bytes (fixed ladder over
+    /// every bit).
+    pub(crate) fn pow(a: &FieldElement, exponent_le: &[u8]) -> FieldElement {
+        let mut result = FieldElement::ONE;
+        for byte in exponent_le.iter().rev() {
+            for bit in (0..8).rev() {
+                result = result.mul(&result);
+                if (byte >> bit) & 1 == 1 {
+                    result = result.mul(a);
+                }
+            }
+        }
+        result
+    }
+
+    /// a^(p−2) through [`pow`].
+    pub(crate) fn invert(a: &FieldElement) -> FieldElement {
+        // p − 2 = 2²⁵⁵ − 21, little-endian.
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xeb;
+        exp[31] = 0x7f;
+        pow(a, &exp)
+    }
+
+    /// a^(2²⁵² − 3) through [`pow`].
+    pub(crate) fn pow_p58(a: &FieldElement) -> FieldElement {
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xfd;
+        exp[31] = 0x0f;
+        pow(a, &exp)
+    }
+
+    /// 2^((p−1)/4) through [`pow`].
+    pub(crate) fn sqrt_m1() -> FieldElement {
+        // (p − 1) / 4 = 2²⁵³ − 5.
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xfb;
+        exp[31] = 0x1f;
+        pow(&FieldElement::from_u64(2), &exp)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     fn fe(n: u64) -> FieldElement {
         FieldElement::from_u64(n)
+    }
+
+    /// Seeded elements covering canonical encodings, limbs at the loose
+    /// bound (just under 2⁵²), and the edges 0, 1, p − 1, p.
+    fn sample_elements(n: usize, seed: u64) -> Vec<FieldElement> {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut p_minus_1 = [0xffu8; 32];
+        p_minus_1[0] = 0xec;
+        p_minus_1[31] = 0x7f;
+        let mut p = p_minus_1;
+        p[0] = 0xed;
+        let mut out = vec![
+            FieldElement::ZERO,
+            FieldElement::ONE,
+            FieldElement::from_bytes(&p_minus_1),
+            FieldElement::from_bytes(&p),
+            FieldElement([(1 << 52) - 1; 5]),
+        ];
+        while out.len() < n {
+            if rng.gen::<bool>() {
+                let mut bytes = [0u8; 32];
+                rng.fill_bytes(&mut bytes);
+                out.push(FieldElement::from_bytes(&bytes));
+            } else {
+                let mut limbs = [0u64; 5];
+                for l in &mut limbs {
+                    *l = rng.next_u64() & ((1 << 52) - 1);
+                }
+                out.push(FieldElement(limbs));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn square_matches_mul_on_10k_elements() {
+        for a in sample_elements(10_000, 0x5a5a) {
+            assert_eq!(a.square().to_bytes(), a.mul(&a).to_bytes(), "{:?}", a.0);
+        }
+    }
+
+    #[test]
+    fn invert_matches_generic_pow_on_10k_elements() {
+        for a in sample_elements(10_000, 0x1a1a) {
+            assert_eq!(
+                a.invert().to_bytes(),
+                oracle::invert(&a).to_bytes(),
+                "{:?}",
+                a.0
+            );
+        }
+    }
+
+    #[test]
+    fn pow_p58_matches_generic_pow_on_10k_elements() {
+        for a in sample_elements(10_000, 0x5858) {
+            assert_eq!(
+                a.pow_p58().to_bytes(),
+                oracle::pow_p58(&a).to_bytes(),
+                "{:?}",
+                a.0
+            );
+        }
+    }
+
+    #[test]
+    fn sqrt_m1_matches_generic_pow() {
+        assert_eq!(
+            FieldElement::sqrt_m1().to_bytes(),
+            oracle::sqrt_m1().to_bytes()
+        );
     }
 
     #[test]

@@ -33,9 +33,11 @@
 //! auditability. AES is constant-time on both backends (bitsliced circuit
 //! or AES-NI — no secret-dependent table index or branch), and so is GCM's
 //! GHASH: a table-free carry-less multiply from masked integer multiplies,
-//! in safe portable code. Scalar multiplication uses masked constant-time
-//! selects but no further side-channel hardening. Do not reuse outside
-//! simulation.
+//! in safe portable code. Curve25519 is constant time too: Ed25519's
+//! fixed-base comb and verify's fixed window pick table entries by
+//! reading every entry under a mask, X25519 runs a cswap ladder, and
+//! scalar reduction mod L compares and subtracts by borrow masks. Do not
+//! reuse outside simulation.
 //!
 //! `unsafe` is denied crate-wide and allowed in exactly one module: the
 //! AES-NI intrinsics behind runtime feature detection.

@@ -74,6 +74,21 @@ fn ct1_silent_on_holes_multiply_ghash() {
 }
 
 #[test]
+fn ct1_fires_on_digit_indexed_comb_table() {
+    // Line 21: the comb row indexed by the scalar's signed digit.
+    let got = lint("crates/crypto/src/ct1_comb_bad.rs", "ct1_comb_bad.rs");
+    assert_eq!(got, vec![("CT-1", 21)]);
+}
+
+#[test]
+fn ct1_silent_on_full_scan_comb_select() {
+    assert_eq!(
+        lint("crates/crypto/src/ct1_comb_good.rs", "ct1_comb_good.rs"),
+        vec![]
+    );
+}
+
+#[test]
 fn det1_fires_on_wall_clock_and_hash_iteration() {
     // Line 7: `Instant::now`. Line 9: `for` over a HashMap. Line 16:
     // order-revealing `.keys()` call.
